@@ -4,9 +4,9 @@
 //! CI's scale job runs them with
 //! `cargo test --release -p crn-bench -- --ignored`.
 
-use crn_bench::synthetic::grid_world;
+use crn_bench::synthetic::{grid_radio, grid_topology, grid_world};
 use crn_shard::{build_plane, ShardConfig, ShardMode};
-use crn_sim::{InterferenceModel, MacConfig, Simulator, TraceLog};
+use crn_sim::{InterferenceModel, MacConfig, SimWorld, Simulator, TraceLog};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -216,5 +216,42 @@ fn sparse_beats_dense_at_five_thousand_sus() {
     assert!(
         dense_build >= 5.0 * sparse_build,
         "sparse construction must be ≥5× faster: dense {dense_build:.3}s vs sparse {sparse_build:.3}s"
+    );
+}
+
+/// Best-of-`rounds` seconds per SU of truncated radio customization
+/// (`SimWorld::new` on a prebuilt grid topology).
+fn customize_seconds_per_su(n: usize, rounds: usize) -> f64 {
+    let topology = Arc::new(grid_topology(n));
+    let params = grid_radio(InterferenceModel::Truncated { epsilon: 0.1 });
+    let mut best = f64::INFINITY;
+    for _ in 0..rounds {
+        let started = Instant::now();
+        let world = SimWorld::new(topology.clone(), params).expect("grid world is valid");
+        best = best.min(started.elapsed().as_secs_f64());
+        drop(world);
+    }
+    best / n as f64
+}
+
+/// Release gate for linear-time customization: the PU far field is
+/// bounded through cell aggregates, so the per-SU cost at `n = 100_000`
+/// must stay within 2× of `n = 10_000` (an all-PU scan per receiver
+/// would make it about 10×).
+#[test]
+#[ignore = "release-mode customization scale gate (CI scale job)"]
+fn truncated_customization_stays_linear_to_hundred_thousand_sus() {
+    let small = customize_seconds_per_su(10_000, 5);
+    let large = customize_seconds_per_su(100_000, 2);
+    eprintln!(
+        "truncated customization: {:.2} µs/SU at n=10000, {:.2} µs/SU at n=100000 ({:.2}x)",
+        small * 1e6,
+        large * 1e6,
+        large / small
+    );
+    assert!(
+        large <= 2.0 * small,
+        "customization per SU grew {:.2}x from n=10000 to n=100000",
+        large / small
     );
 }

@@ -457,7 +457,10 @@ impl SimWorld {
     }
 
     /// Truncation diagnostics: per-slot `(cutoff radii, certified
-    /// excluded-PU residual powers)`. `None` in exact mode.
+    /// excluded-PU residual powers)`. Each residual is an upper bound on
+    /// the power the excluded PUs deliver when all transmit at once: the
+    /// slot's far-field bound, or the exact excluded sum on a slot whose
+    /// bound exceeded the budget. `None` in exact mode.
     #[must_use]
     pub fn truncation_stats(&self) -> Option<(&[f64], &[f64])> {
         self.radio.truncation_stats()
