@@ -9,7 +9,8 @@
 //! Three lanes:
 //! 1. `reports_match_pinned_digests` — every corpus case (both
 //!    interference models, both sensing configurations, fault-free and
-//!    fault-plan runs) hashed against the pre-change digests.
+//!    fault-plan runs, and a high-churn lane of busy, bursty, periodic
+//!    and outage-ridden runs) hashed against the pre-change digests.
 //! 2. `delta_matches_full_scan_reference` — the same corpus run twice,
 //!    once on the default engine and once with the full-scan reference
 //!    path forced, compared report-for-report.
@@ -33,7 +34,7 @@ use crn_geometry::{Point, Region};
 use crn_interference::PhyParams;
 use crn_sim::{
     ChurnSpec, FaultEvent, FaultKind, FaultPlan, FaultSchedule, InterferenceModel,
-    InvariantChecker, MacConfig, SimReport, SimWorld, Simulator,
+    InvariantChecker, MacConfig, SimReport, SimWorld, Simulator, Traffic,
 };
 use crn_spectrum::PuActivity;
 use rand::rngs::StdRng;
@@ -165,16 +166,46 @@ fn churn_plan(num_sus: usize, seed: u64) -> FaultSchedule {
         .expect("churn compiles")
 }
 
+/// A pause/resume pair and a crash/recover pair, interleaved, for the
+/// high-churn lane: outages cut SUs out of contention mid-backoff.
+fn crash_pause_plan() -> FaultSchedule {
+    schedule(vec![
+        FaultEvent::new(0.004, FaultKind::SuPause { su: 2 }),
+        FaultEvent::new(0.008, FaultKind::SuCrash { su: 9 }),
+        FaultEvent::new(0.03, FaultKind::SuResume { su: 2 }),
+        FaultEvent::new(0.05, FaultKind::SuRecover { su: 9 }),
+    ])
+}
+
 struct Case {
     id: String,
     world: Arc<SimWorld>,
-    p_t: f64,
+    activity: PuActivity,
+    traffic: Traffic,
     seed: u64,
     faults: FaultSchedule,
 }
 
-/// The pinned corpus: every fault-free `(seed, model, sensing)` cell
-/// plus a fault lane over `(fault seed, plan, model)`.
+impl Case {
+    /// A case on the corpus' default workload: Bernoulli `p_t = 0.3`
+    /// PUs and the single-snapshot task.
+    fn new(id: String, world: Arc<SimWorld>, seed: u64, faults: FaultSchedule) -> Self {
+        Self {
+            id,
+            world,
+            activity: PuActivity::bernoulli(0.3).expect("valid p_t"),
+            traffic: Traffic::Snapshot,
+            seed,
+            faults,
+        }
+    }
+}
+
+/// The pinned corpus: every fault-free `(seed, model, sensing)` cell,
+/// a fault lane over `(fault seed, plan, model)`, and a high-churn lane
+/// over `(fault seed, workload, model)` whose PUs toggle often and whose
+/// SUs leave and re-enter contention (busy primary network, bursty
+/// Gilbert PUs, periodic traffic, outages under a busy network).
 fn corpus_cases() -> Vec<Case> {
     let models = [
         ("exact", InterferenceModel::Exact),
@@ -186,13 +217,12 @@ fn corpus_cases() -> Vec<Case> {
             // ADDC senses at the PCR; the Coolest baseline at a
             // conventional CSMA range (hidden terminals appear).
             for (aname, su_sense) in [("addc", 25.0), ("coolest", 12.0)] {
-                cases.push(Case {
-                    id: format!("free/{mname}/{aname}/seed{seed}"),
-                    world: jitter_world(8, seed, model, su_sense),
-                    p_t: 0.3,
+                cases.push(Case::new(
+                    format!("free/{mname}/{aname}/seed{seed}"),
+                    jitter_world(8, seed, model, su_sense),
                     seed,
-                    faults: FaultSchedule::empty(),
-                });
+                    FaultSchedule::empty(),
+                ));
             }
         }
     }
@@ -207,10 +237,42 @@ fn corpus_cases() -> Vec<Case> {
                 ("churn", churn_plan(n, seed)),
             ];
             for (pname, faults) in plans {
+                cases.push(Case::new(
+                    format!("fault/{mname}/{pname}/seed{seed}"),
+                    world.clone(),
+                    seed,
+                    faults,
+                ));
+            }
+        }
+    }
+    let calm = PuActivity::bernoulli(0.3).expect("valid p_t");
+    let busy = PuActivity::bernoulli(0.5).expect("valid p_t");
+    let bursty = PuActivity::gilbert_with_duty_cycle(0.3, 4.0).expect("valid Gilbert");
+    let periodic = Traffic::Periodic {
+        interval: 0.25,
+        snapshots: 4,
+    };
+    for &seed in &FAULT_SEEDS {
+        for (mname, model) in models {
+            let world = jitter_world(6, seed, model, 25.0);
+            let lanes: [(&str, PuActivity, Traffic, FaultSchedule); 4] = [
+                ("pt05", busy, Traffic::Snapshot, FaultSchedule::empty()),
+                ("gilbert", bursty, Traffic::Snapshot, FaultSchedule::empty()),
+                ("periodic", calm, periodic, FaultSchedule::empty()),
+                (
+                    "crash_pause_pt05",
+                    busy,
+                    Traffic::Snapshot,
+                    crash_pause_plan(),
+                ),
+            ];
+            for (lname, activity, traffic, faults) in lanes {
                 cases.push(Case {
-                    id: format!("fault/{mname}/{pname}/seed{seed}"),
+                    id: format!("churn/{mname}/{lname}/seed{seed}"),
                     world: world.clone(),
-                    p_t: 0.3,
+                    activity,
+                    traffic,
                     seed,
                     faults,
                 });
@@ -222,7 +284,8 @@ fn corpus_cases() -> Vec<Case> {
 
 fn run_case_path(case: &Case, full_scan: bool) -> SimReport {
     Simulator::builder(case.world.clone())
-        .activity(PuActivity::bernoulli(case.p_t).expect("valid p_t"))
+        .activity(case.activity)
+        .traffic(case.traffic)
         .seed(case.seed)
         .faults(case.faults.clone())
         .full_scan(full_scan)
@@ -408,7 +471,8 @@ fn sharded_lanes_match_pinned_digests() {
             let mac = MacConfig::default();
             let mut builder = Simulator::builder(case.world.clone())
                 .mac(mac)
-                .activity(PuActivity::bernoulli(case.p_t).expect("valid p_t"))
+                .activity(case.activity)
+                .traffic(case.traffic)
                 .seed(case.seed)
                 .faults(case.faults.clone());
             if let Some(plane) = build_plane(&case.world, &mac, &cfg) {
