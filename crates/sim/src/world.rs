@@ -387,6 +387,24 @@ impl SimWorld {
         self.radio.pu_fanout(pu)
     }
 
+    pub(crate) fn pu_fanout_words(&self, pu: usize) -> std::ops::Range<usize> {
+        self.radio.pu_fanout_words(pu)
+    }
+
+    /// Index in a [`SimWorld::fanout_words`]-long bitmap of entry `pos`
+    /// of PU `pu`'s fanout.
+    pub(crate) fn fanout_bit(&self, pu: u32, pos: u32) -> usize {
+        self.radio.pu_fanout_words(pu as usize).start * 64 + pos as usize
+    }
+
+    pub(crate) fn fanout_words(&self) -> usize {
+        self.radio.fanout_words()
+    }
+
+    pub(crate) fn su_sensed_pus(&self, su: u32) -> &[(u32, u32)] {
+        self.radio.su_sensed_pus(su)
+    }
+
     /// Receiver slot of `su`, or `None` if it is not a receiver (slots
     /// index the per-receiver interference accounting structures).
     #[must_use]
