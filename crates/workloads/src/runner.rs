@@ -7,9 +7,11 @@ use std::sync::Mutex;
 /// Execution options for [`run_sweep`].
 ///
 /// `threads: 0` (the [`Default`]) means "auto": use
-/// [`std::thread::available_parallelism`], falling back to 1. `threads: 1`
-/// runs inline on the calling thread. The optional `progress` callback is
-/// invoked after every completed job with `(done, total)`.
+/// [`std::thread::available_parallelism`], falling back to 1. The calling
+/// thread is always one of the workers, so `threads: 1` runs inline and
+/// `threads: n` spawns `n − 1` more. The optional `progress` callback is
+/// invoked after every completed job with `(done, total)`, on the worker
+/// that completed it.
 ///
 /// ```
 /// use crn_workloads::SweepOptions;
@@ -217,15 +219,15 @@ pub fn run_sweep(spec: &SweepSpec, options: SweepOptions) -> Result<Vec<RunRecor
         }
     };
 
-    if threads == 1 {
+    // The calling thread works too: each spawned thread leaves a malloc
+    // arena behind holding its share of the sweep's freed memory, so
+    // sparing one spawn per sweep keeps repeated sweeps' resident set down.
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(|| worker(&jobs));
+        }
         worker(&jobs);
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| worker(&jobs));
-            }
-        });
-    }
+    });
 
     let slots = std::mem::take(*results.lock().expect("results lock poisoned"));
     // Report the first failure in job order; cancellation may leave later
@@ -350,6 +352,30 @@ mod tests {
         let seq = run_sweep(&spec, SweepOptions::sequential()).unwrap();
         let par = run_sweep(&spec, SweepOptions::with_threads(3)).unwrap();
         assert_eq!(seq, par, "parallel execution must not change results");
+    }
+
+    #[test]
+    fn calling_thread_is_one_of_the_workers() {
+        let spec = SweepSpec {
+            reps: 6,
+            ..tiny_spec()
+        };
+        let caller = std::thread::current().id();
+        let ran_here = std::sync::Arc::new(AtomicBool::new(false));
+        let seen = ran_here.clone();
+        run_sweep(
+            &spec,
+            SweepOptions::with_threads(2).on_progress(move |_, _| {
+                if std::thread::current().id() == caller {
+                    seen.store(true, Ordering::Relaxed);
+                }
+            }),
+        )
+        .unwrap();
+        assert!(
+            ran_here.load(Ordering::Relaxed),
+            "no job ran on the calling thread"
+        );
     }
 
     #[test]
