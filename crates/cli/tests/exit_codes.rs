@@ -29,14 +29,15 @@ fn clean_run_exits_zero() {
 
 #[test]
 fn usage_errors_exit_two_with_usage_text() {
-    let out = crn()
-        .args(["run", "--bogus", "1"])
-        .output()
-        .expect("spawn crn");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unrecognized"), "{stderr}");
-    assert!(stderr.contains("usage:"), "usage text reprinted: {stderr}");
+    // The flag of the removed sharded SIR plane is now as unknown as any
+    // other.
+    for args in [["run", "--bogus", "1"], ["run", "--shards", "2"]] {
+        let out = crn().args(args).output().expect("spawn crn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unrecognized"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "usage text reprinted: {stderr}");
+    }
 
     let out = crn().args(["frobnicate"]).output().expect("spawn crn");
     assert_eq!(out.status.code(), Some(2));

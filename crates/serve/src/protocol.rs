@@ -24,7 +24,6 @@
 
 use crate::ErrorKind;
 use crn_core::{CollectionAlgorithm, CollectionOutcome, ScenarioParams};
-use crn_shard::ShardMode;
 use crn_sim::{FaultsConfig, InterferenceModel};
 use crn_workloads::faults_wire;
 use crn_workloads::json::Json;
@@ -53,12 +52,6 @@ pub struct RunSpec {
     /// Testing aid: makes the worker panic instead of simulating, so the
     /// panic-isolation path is exercisable end-to-end. Never cached.
     pub inject_panic: bool,
-    /// SIR-plane sharding for the execution (see `crn_shard`).
-    /// Deliberately **excluded** from [`RunSpec::cache_key`]: sharded
-    /// runs are bit-identical to sequential ones, so a result computed
-    /// at any shard count serves every other — execution strategy is
-    /// not identity.
-    pub shards: ShardMode,
 }
 
 impl RunSpec {
@@ -90,8 +83,6 @@ impl RunSpec {
     }
 
     fn chain_run_identity(&self, mut h: u64) -> u64 {
-        // `self.shards` is intentionally absent: execution strategy must
-        // never split the cache (see the field docs).
         h = crn_core::fnv1a_64(h, self.algorithm.to_string().as_bytes());
         h = crn_core::fnv1a_64(h, &[u8::from(self.check_invariants)]);
         crn_core::fnv1a_64(h, ENGINE_VERSION.as_bytes())
@@ -275,6 +266,11 @@ fn parse_seeds(v: &Json, implied: Option<u64>) -> Result<Vec<u64>, ProtoError> {
         let start = opt_u64(v, "seed_start")?.unwrap_or(0);
         let count = opt_u64(v, "seed_count")?
             .ok_or_else(|| ProtoError::bad("'seed_start' needs a 'seed_count'"))?;
+        // Capped before the range is materialised: one request line must
+        // not be able to ask for an unbounded allocation.
+        if count > MAX_SWEEP_SEEDS as u64 {
+            return Err(too_many_seeds(count));
+        }
         (0..count).map(|k| start.wrapping_add(k)).collect()
     } else if let Some(seed) = implied {
         // An axis-only sweep runs every value at the template's seed.
@@ -288,12 +284,15 @@ fn parse_seeds(v: &Json, implied: Option<u64>) -> Result<Vec<u64>, ProtoError> {
         return Err(ProtoError::bad("sweep needs at least one seed"));
     }
     if seeds.len() > MAX_SWEEP_SEEDS {
-        return Err(ProtoError::bad(format!(
-            "sweep of {} seeds exceeds the per-request cap of {MAX_SWEEP_SEEDS}",
-            seeds.len()
-        )));
+        return Err(too_many_seeds(seeds.len() as u64));
     }
     Ok(seeds)
+}
+
+fn too_many_seeds(count: u64) -> ProtoError {
+    ProtoError::bad(format!(
+        "sweep of {count} seeds exceeds the per-request cap of {MAX_SWEEP_SEEDS}"
+    ))
 }
 
 /// Parses the optional sweep `axis` object:
@@ -448,24 +447,6 @@ fn parse_spec(v: &Json) -> Result<RunSpec, ProtoError> {
         .get("inject_panic")
         .and_then(Json::as_bool)
         .unwrap_or(false);
-    // Execution strategy, not identity: accepted as a count or "auto",
-    // never folded into the cache key.
-    let shards = match v.get("shards") {
-        None => ShardMode::Sequential,
-        Some(field) => {
-            if let Some(s) = field.as_str() {
-                s.parse::<ShardMode>().map_err(ProtoError::bad)?
-            } else if let Some(n) = field.as_u64() {
-                match u32::try_from(n) {
-                    Ok(0) => ShardMode::Sequential,
-                    Ok(k) => ShardMode::Fixed(k),
-                    Err(_) => return Err(ProtoError::bad("'shards' out of range")),
-                }
-            } else {
-                return Err(ProtoError::bad("'shards' must be a count or \"auto\""));
-            }
-        }
-    };
     let params = ScenarioParams::builder()
         .num_sus(sus)
         .num_pus(pus)
@@ -482,7 +463,6 @@ fn parse_spec(v: &Json) -> Result<RunSpec, ProtoError> {
         algorithm,
         check_invariants,
         inject_panic,
-        shards,
     })
 }
 
@@ -583,15 +563,7 @@ pub fn spec_to_json(spec: &RunSpec) -> Json {
     o.set("params", p)
         .set("algo", Json::Str(spec.algorithm.to_string()))
         .set("check_invariants", Json::Bool(spec.check_invariants))
-        .set("inject_panic", Json::Bool(spec.inject_panic))
-        .set(
-            "shards",
-            match spec.shards {
-                ShardMode::Sequential => Json::UInt(0),
-                ShardMode::Auto => Json::Str("auto".into()),
-                ShardMode::Fixed(k) => Json::UInt(u64::from(k)),
-            },
-        );
+        .set("inject_panic", Json::Bool(spec.inject_panic));
     o
 }
 
@@ -846,8 +818,15 @@ mod tests {
             panic!("not a sweep");
         };
         assert_eq!(seeds, vec![10, 11, 12]);
-        let e = parse_request(r#"{"v":1,"cmd":"sweep","seed_count":99999}"#).unwrap_err();
-        assert!(e.message.contains("cap"), "{}", e.message);
+        // The two huge counts would abort the process (allocation failure)
+        // or panic (capacity overflow) if the range were built before the
+        // cap is checked.
+        for count in [99_999_u64, 10_000_000_000_000, 4_611_686_018_427_387_904] {
+            let e = parse_request(&format!(r#"{{"v":1,"cmd":"sweep","seed_count":{count}}}"#))
+                .unwrap_err();
+            assert_eq!(e.kind, ErrorKind::BadRequest, "{}", e.message);
+            assert!(e.message.contains("cap"), "{}", e.message);
+        }
     }
 
     #[test]
@@ -949,31 +928,6 @@ mod tests {
             parse_request(r#"{"v":1,"cmd":"shutdown"}"#).unwrap(),
             Request::Shutdown
         );
-    }
-
-    #[test]
-    fn shards_parse_but_never_touch_the_cache_key() {
-        let spec = |shards: &str| {
-            let Request::Run { spec, .. } = parse_request(&format!(
-                r#"{{"v":1,"cmd":"run","params":{{"seed":7}},"shards":{shards}}}"#
-            ))
-            .unwrap() else {
-                panic!()
-            };
-            spec
-        };
-        let seq = spec("0");
-        let auto = spec("\"auto\"");
-        let four = spec("4");
-        assert_eq!(seq.shards, crn_shard::ShardMode::Sequential);
-        assert_eq!(auto.shards, crn_shard::ShardMode::Auto);
-        assert_eq!(four.shards, crn_shard::ShardMode::Fixed(4));
-        // Execution strategy is not identity: a result computed at any
-        // shard count must serve every other shard count.
-        assert_eq!(seq.cache_key(), auto.cache_key());
-        assert_eq!(seq.cache_key(), four.cache_key());
-        let e = parse_request(r#"{"v":1,"cmd":"run","shards":true}"#).unwrap_err();
-        assert!(e.message.contains("shards"), "{}", e.message);
     }
 
     #[test]
@@ -1098,7 +1052,7 @@ mod tests {
         let line = r#"{"v":1,"cmd":"run","params":{"sus":61,"pus":9,"side":41.5,"pt":0.35,
             "seed":1234,"interference":"truncated:0.07","max_connectivity_attempts":500,
             "baseline_su_sense_factor":1.5,"faults":"churn:2.5"},"algo":"coolest",
-            "check_invariants":true,"shards":3}"#;
+            "check_invariants":true}"#;
         let Request::Run { spec, .. } = parse_request(line).unwrap() else {
             panic!("not a run");
         };

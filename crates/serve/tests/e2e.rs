@@ -387,25 +387,6 @@ fn stats_shape_is_complete() {
     let topo = stats.get("topology_cache").expect("topology cache block");
     assert_eq!(topo.get("capacity").and_then(Json::as_u64), Some(64));
     assert_eq!(topo.get("insertions").and_then(Json::as_u64), Some(1));
-    // The run above was sequential-mode, so the shard pool counters are
-    // present but untouched.
-    let shards = stats.get("shards").expect("shards block");
-    assert_eq!(shards.get("runs").and_then(Json::as_u64), Some(0));
-    assert_eq!(shards.get("shards_last").and_then(Json::as_u64), Some(0));
-    assert_eq!(
-        shards.get("windows_committed").and_then(Json::as_u64),
-        Some(0)
-    );
-    assert_eq!(
-        shards
-            .get("boundary_events_mirrored")
-            .and_then(Json::as_u64),
-        Some(0)
-    );
-    assert_eq!(
-        shards.get("max_window_skew").and_then(Json::as_u64),
-        Some(0)
-    );
     let hist = stats.get("latency_ms").and_then(Json::as_arr).unwrap();
     assert_eq!(hist.len(), 13, "12 finite buckets + overflow");
     let total: u64 = hist
@@ -623,56 +604,33 @@ fn streamed_sweep_rows_match_the_buffered_sweep() {
     server.wait();
 }
 
-/// A cold sharded run executes on the shard pool (telemetry counts it);
-/// the same spec re-requested sequentially is a pure cache hit — the
-/// live proof that shard count never enters the cache key, which is
-/// only sound because sharded reports are bit-identical.
+/// Clients written against the removed sharded SIR plane still send a
+/// `"shards"` key. Unknown keys are ignored and sharding never changed a
+/// report, so such a request is served like the plain one and shares its
+/// cache line.
 #[test]
-fn sharded_run_feeds_telemetry_and_shares_the_cache_line() {
+fn legacy_shards_key_is_ignored_and_shares_the_cache_line() {
     let server = start(2, 8, 16);
     let mut client = connect(&server);
 
-    // Truncated interference builds the reverse index the plane needs;
-    // the exact model would decline to shard and leave telemetry zero.
-    let sharded = r#"{"v":1,"cmd":"run","params":{"sus":60,"pus":8,"side":42.0,"seed":9,"interference":"truncated:0.1"},"shards":2}"#;
-    let cold = client.request_line(sharded).unwrap();
-    assert!(ok(&cold), "cold sharded run failed: {cold}");
-
-    let stats = client.stats().unwrap();
-    let shards = stats.get("shards").expect("shards block");
-    assert_eq!(shards.get("runs").and_then(Json::as_u64), Some(1));
-    let last = shards.get("shards_last").and_then(Json::as_u64).unwrap();
-    assert!(
-        (1..=2).contains(&last),
-        "expected 1..=2 actual shards, got {last}"
-    );
-    assert!(
-        shards
-            .get("windows_committed")
-            .and_then(Json::as_u64)
-            .unwrap()
-            > 0
-    );
+    let legacy = r#"{"v":1,"cmd":"run","params":{"sus":60,"pus":8,"side":42.0,"seed":9,"interference":"truncated:0.1"},"shards":2}"#;
+    let cold = client.request_line(legacy).unwrap();
+    assert!(ok(&cold), "run with a legacy shards key failed: {cold}");
 
     // Same params, no shards field: identical cache key, so the worker
     // pool is never consulted again.
-    let sequential = r#"{"v":1,"cmd":"run","params":{"sus":60,"pus":8,"side":42.0,"seed":9,"interference":"truncated:0.1"}}"#;
-    let warm = client.request_line(sequential).unwrap();
-    assert!(ok(&warm), "warm sequential run failed: {warm}");
+    let plain = r#"{"v":1,"cmd":"run","params":{"sus":60,"pus":8,"side":42.0,"seed":9,"interference":"truncated:0.1"}}"#;
+    let warm = client.request_line(plain).unwrap();
+    assert!(ok(&warm), "plain run failed: {warm}");
     assert_eq!(
         warm.get("report"),
         cold.get("report"),
-        "cached sharded report served verbatim to the sequential request"
+        "cached report served verbatim to the plain request"
     );
     let stats = client.stats().unwrap();
     let cache = stats.get("cache").expect("cache block");
+    assert_eq!(cache.get("insertions").and_then(Json::as_u64), Some(1));
     assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(1));
-    let shards = stats.get("shards").expect("shards block");
-    assert_eq!(
-        shards.get("runs").and_then(Json::as_u64),
-        Some(1),
-        "cache hit never reached the shard pool"
-    );
 
     client.shutdown().unwrap();
     server.wait();
